@@ -38,8 +38,9 @@ type bitem struct {
 	cum  []int
 }
 
-// mix64 is the splitmix64 finalizer, deriving the second bit position from
-// the state hash so the two probes are (near-)independent.
+// mix64 is the splitmix64 finalizer. It finishes the state hash, and here
+// derives the second bit position from the state hash so the two probes
+// are (near-)independent.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -95,18 +96,24 @@ func (g *bgraph) seen(h uint64) bool {
 		g.words[p2>>6].Load()&(1<<(p2&63)) != 0
 }
 
-// insert marks h seen and enqueues the item if at least one probe bit was
-// clear. Two workers racing on the same fresh state may both enqueue it (a
-// bounded duplication, resolved when the copies' successors all hash seen);
-// a layer's outcome is therefore not bit-for-bit deterministic across
-// worker counts, which the Probabilistic result flag already announces.
-func (g *bgraph) insert(it bitem) {
-	seen1 := g.testSet(it.h & g.mask)
-	seen2 := g.testSet(mix64(it.h) & g.mask)
+// mark sets both probe bits for h and reports whether at least one was
+// clear, i.e. whether the state counts as fresh and must be enqueued. Two
+// workers racing on the same fresh state may both see it fresh (a bounded
+// duplication, resolved when the copies' successors all hash seen); a
+// layer's outcome is therefore not bit-for-bit deterministic across worker
+// counts, which the Probabilistic result flag already announces.
+func (g *bgraph) mark(h uint64) bool {
+	seen1 := g.testSet(h & g.mask)
+	seen2 := g.testSet(mix64(h) & g.mask)
 	if seen1 && seen2 {
-		return
+		return false
 	}
 	g.states.Add(1)
+	return true
+}
+
+// enqueue appends a fresh item to its next-layer queue.
+func (g *bgraph) enqueue(it bitem) {
 	q := &g.queues[it.h%uint64(len(g.queues))]
 	q.mu.Lock()
 	q.next = append(q.next, it)
@@ -126,19 +133,20 @@ type bworker struct {
 	viol     bool
 	violH    uint64
 	violPath *bpath
+
+	// Successors are built in scratch states and cloned only on discovery.
+	x expansion
 }
 
-func (w *bworker) canon(s *State) (*State, []int) {
-	if w.eng.red == nil {
-		return s, nil
+// push enqueues canonical child cc with hash h (produced from parent by d
+// under permutation perm, in scratch state sc) if its bits were not all set,
+// cloning it only then.
+func (w *bworker) push(parent bitem, d tso.Decision, cc *State, h uint64, perm []int, sc *State) {
+	if !w.g.mark(h) {
+		return
 	}
-	return w.eng.red.canonicalize(s)
-}
-
-func (w *bworker) push(parent bitem, d tso.Decision, cc *State, perm []int) {
-	h := w.eng.hash(cc)
-	w.g.insert(bitem{
-		st:   cc,
+	w.g.enqueue(bitem{
+		st:   keep(cc, sc),
 		h:    h,
 		path: &bpath{d: realDecision(w.eng.red, d, parent.cum), prev: parent.path},
 		cum:  compose(perm, parent.cum, w.eng.n),
@@ -160,46 +168,36 @@ func (w *bworker) expand(it bitem) {
 		}
 		return
 	}
+	x := &w.x
 	if e.red != nil {
-		if id, ok := e.ampleProcess(it.st); ok {
-			amp := e.procDecisions(it.st, id, nil)
-			kids := make([]*State, len(amp))
-			perms := make([][]int, len(amp))
-			proviso := false
-			for i, d := range amp {
-				child := it.st.Clone()
-				if err := e.Apply(child, d); err != nil {
-					w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
-					return
-				}
-				kids[i], perms[i] = w.canon(child)
-				// With only bits for identity there is no discovery layer
-				// to freeze, so any seen ample successor triggers the
-				// proviso. Over-triggering costs reduction, never
-				// soundness: a truly visited successor always reads seen.
-				if w.g.seen(e.hash(kids[i])) {
-					proviso = true
-				}
+		// With only bits for identity there is no discovery layer to
+		// freeze, so any seen ample successor triggers the proviso.
+		// Over-triggering costs reduction, never soundness: a truly
+		// visited successor always reads seen.
+		ok, err := x.ample(e, it.st, w.g.seen)
+		if err != nil {
+			w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
+			return
+		}
+		if ok {
+			w.ampleSteps++
+			w.transitions += len(x.decs)
+			for i, d := range x.decs {
+				w.push(it, d, x.kids[i], x.hs[i], x.perms[i], x.scratch[i])
 			}
-			if !proviso {
-				w.ampleSteps++
-				w.transitions += len(amp)
-				for i, d := range amp {
-					w.push(it, d, kids[i], perms[i])
-				}
-				return
-			}
+			return
 		}
 	}
-	for _, d := range e.decisions(it.st) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
+	x.decs = e.decisions(it.st, x.decs[:0])
+	sc := x.scratchAt(0)
+	for _, d := range x.decs {
+		cc, perm, err := e.successor(sc, it.st, d)
+		if err != nil {
 			w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
 			return
 		}
 		w.transitions++
-		cc, perm := w.canon(child)
-		w.push(it, d, cc, perm)
+		w.push(it, d, cc, e.hash(cc), perm, sc)
 	}
 }
 
@@ -227,8 +225,10 @@ func (e *Engine) checkBitstate(ctx context.Context, o ParallelOpts) (*CheckResul
 		ws[i] = &bworker{eng: e.workerClone(), g: g, ctx: ctx}
 	}
 	res := &CheckResult{Complete: true, Probabilistic: true}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
-	g.insert(bitem{st: root, h: ws[0].eng.hash(root), cum: rootPerm})
+	root, rootPerm := ws[0].eng.canon(ws[0].eng.Initial())
+	rh := ws[0].eng.hash(root)
+	g.mark(rh)
+	g.enqueue(bitem{st: root, h: rh, cum: rootPerm})
 	for {
 		fronts := make([][]bitem, len(g.queues))
 		empty := true

@@ -23,7 +23,7 @@ func (e *Engine) Crash(s *State, id int) error {
 	if !p.Started || p.Done || p.Crashed {
 		return errInvalidDecision
 	}
-	p.Buf = nil
+	p.Buf = p.Buf[:0]
 	p.Regs = [NumRegs]uint64{}
 	p.Fencing = false
 	p.InExit = false
@@ -67,7 +67,7 @@ func (e *Engine) crashDecisions(s *State, o CrashOpts, out []tso.Decision) []tso
 // It is the enumeration the crash-schedule search and the crash fuzzer
 // drive the engine with.
 func (e *Engine) EnabledDecisions(s *State, o CrashOpts) []tso.Decision {
-	return e.crashDecisions(s, o, e.decisions(s))
+	return e.crashDecisions(s, o, e.decisions(s, nil))
 }
 
 // RecovResult is the outcome of a crash-enabled recoverability check.
@@ -126,12 +126,6 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 	}
 	res := &RecovResult{}
 	r := e.red
-	canon := func(s *State) (*State, []int) {
-		if r == nil {
-			return s, nil
-		}
-		return r.canonicalize(s)
-	}
 	type node struct {
 		st     *State
 		parent int
@@ -139,7 +133,7 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 		cum    []int        // real slot -> current slot; nil = identity
 		done   bool
 	}
-	root, rootPerm := canon(e.Initial())
+	root, rootPerm := e.canon(e.Initial())
 	nodes := []node{{st: root, parent: -1, cum: rootPerm}}
 	seen := map[uint64]int{e.hash(root): 0}
 	succs := [][]int{nil}
@@ -155,6 +149,8 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 		}
 		return out
 	}
+	scratch := &State{}
+	var decs []tso.Decision
 	for i := 0; i < len(nodes); i++ {
 		if i&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -177,10 +173,10 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 			return res, nil // Complete stays false: no verdict
 		}
 		st, cum := nodes[i].st, nodes[i].cum
-		decs := e.crashDecisions(st, o, e.decisions(st))
+		decs = e.crashDecisions(st, o, e.decisions(st, decs[:0]))
 		for _, d := range decs {
-			child := st.Clone()
-			if err := e.Apply(child, d); err != nil {
+			cc, perm, err := e.successor(scratch, st, d)
+			if err != nil {
 				if st.Crashes == 0 {
 					// Crash-free faults are program bugs, not verdicts.
 					return nil, fmt.Errorf("vmprog: recoverability check: %w", err)
@@ -193,13 +189,12 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 				return res, nil
 			}
 			res.Transitions++
-			cc, perm := canon(child)
 			h := e.hash(cc)
 			j, ok := seen[h]
 			if !ok {
 				j = len(nodes)
 				seen[h] = j
-				nodes = append(nodes, node{st: cc, parent: i, dec: realDecision(r, d, cum), cum: compose(perm, cum, e.n)})
+				nodes = append(nodes, node{st: keep(cc, scratch), parent: i, dec: realDecision(r, d, cum), cum: compose(perm, cum, e.n)})
 				succs = append(succs, nil)
 			}
 			succs[i] = append(succs[i], j)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 
 	"priceadaptive/internal/tso"
 )
@@ -69,6 +69,26 @@ func (s *State) Clone() *State {
 		ns.Procs[i].Buf = append([]bufEnt(nil), s.Procs[i].Buf...)
 	}
 	return ns
+}
+
+// overwrite makes s an exact copy of src while keeping s's own Mem, Procs
+// and Buf backing arrays, so a scratch state reused for every successor of
+// a parent allocates nothing once warm. s must not share a backing array
+// with src or with any state kept elsewhere; Engine.successor and the
+// exploration loops maintain this by building scratch states only from
+// their own appends and storing clones, never the scratch itself.
+func (s *State) overwrite(src *State) {
+	s.Mem = append(s.Mem[:0], src.Mem...)
+	if cap(s.Procs) < len(src.Procs) {
+		s.Procs = make([]PState, len(src.Procs))
+	}
+	s.Procs = s.Procs[:len(src.Procs)]
+	for i := range src.Procs {
+		buf := s.Procs[i].Buf
+		s.Procs[i] = src.Procs[i]
+		s.Procs[i].Buf = append(buf[:0], src.Procs[i].Buf...)
+	}
+	s.Crashes = src.Crashes
 }
 
 // FactsVersion is the current PruneFacts schema version. The engine rejects
@@ -511,38 +531,131 @@ func (e *Engine) Apply(s *State, d tso.Decision) error {
 	return e.Step(s, int(d.P))
 }
 
+// successor computes the canonical successor of parent under d without
+// cloning: scratch is overwritten from parent, d is applied to it, and the
+// result is canonicalized in place. The returned state is scratch itself or,
+// under symmetry, a fresh state built by the canonicalizer; either way it is
+// only valid until scratch is next used, and keep turns it into a state the
+// caller may store. parent is not modified.
+func (e *Engine) successor(scratch, parent *State, d tso.Decision) (*State, []int, error) {
+	scratch.overwrite(parent)
+	if err := e.Apply(scratch, d); err != nil {
+		return nil, nil, err
+	}
+	cc, perm := e.canon(scratch)
+	return cc, perm, nil
+}
+
+// canon maps a freshly produced state to its canonical representative plus
+// the permutation applied (nil perm = identity); s is consumed.
+func (e *Engine) canon(s *State) (*State, []int) {
+	if e.red == nil {
+		return s, nil
+	}
+	return e.red.canonicalize(s)
+}
+
+// expansion holds one exploration thread's reusable per-transition buffers:
+// the scratch states successors are built in (one per ample decision), the
+// decision list, and the ample successors with their permutations and
+// hashes while the proviso is checked. Its contents are valid only during
+// the expansion of one state.
+type expansion struct {
+	scratch []*State
+	decs    []tso.Decision
+	kids    []*State
+	perms   [][]int
+	hs      []uint64
+}
+
+// scratchAt returns the i-th scratch state.
+func (x *expansion) scratchAt(i int) *State {
+	for len(x.scratch) <= i {
+		x.scratch = append(x.scratch, &State{})
+	}
+	return x.scratch[i]
+}
+
+// ample tries singleton-process ample expansion of st (pruning facts must
+// be installed): it builds the successors under the ample process's
+// decisions into x.decs, x.kids, x.perms and x.hs, and reports whether an
+// ample process exists and no successor trips the cycle proviso. The caller
+// expands st fully when it reports false.
+func (x *expansion) ample(e *Engine, st *State, proviso func(h uint64) bool) (bool, error) {
+	id, ok := e.ampleProcess(st)
+	if !ok {
+		return false, nil
+	}
+	x.decs = e.procDecisions(st, id, x.decs[:0])
+	x.kids, x.perms, x.hs = x.kids[:0], x.perms[:0], x.hs[:0]
+	tripped := false
+	for i, d := range x.decs {
+		cc, perm, err := e.successor(x.scratchAt(i), st, d)
+		if err != nil {
+			return false, err
+		}
+		h := e.hash(cc)
+		x.kids, x.perms, x.hs = append(x.kids, cc), append(x.perms, perm), append(x.hs, h)
+		if proviso(h) {
+			tripped = true
+		}
+	}
+	return !tripped, nil
+}
+
+// keep returns a state that may outlive scratch: a clone when st is the
+// scratch state successor wrote into, st itself when the canonicalizer
+// already built it fresh.
+func keep(st, scratch *State) *State {
+	if st == scratch {
+		return st.Clone()
+	}
+	return st
+}
+
 // Hash fingerprints a state, for callers (like the crash-schedule search)
-// that deduplicate their own frontiers. Equal states hash equal; collisions
+// that deduplicate their own frontiers. It is the hash every exploration
+// engine keys its seen-set with. Equal states hash equal, whatever the
+// capacity of their buffers and whether an empty buffer is nil; collisions
 // are possible, so it must not substitute for equality where soundness
 // depends on it.
 func (e *Engine) Hash(s *State) uint64 { return e.hash(s) }
 
-// hash fingerprints a state.
+// Word-hash constants: the xxHash64 primes.
+const (
+	hashPrime1 = 0x9e3779b185ebca87
+	hashPrime2 = 0xc2b2ae3d27d4eb4f
+)
+
+// hashWord folds one word into the running hash with the xxHash64 round.
+// For a fixed running hash it is a bijection of the word, and for a fixed
+// word a bijection of the running hash.
+func hashWord(h, x uint64) uint64 {
+	return bits.RotateLeft64(h+x*hashPrime2, 31) * hashPrime1
+}
+
+// hash fingerprints a state in one allocation-free pass over exactly the
+// words encode emits (memory, then per process pflags, registers, buffer
+// length and buffered writes), finished by the splitmix64 finalizer so
+// every input bit reaches every output bit.
 func (e *Engine) hash(s *State) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	h := uint64(hashPrime1)
 	for _, m := range s.Mem {
-		w(m)
+		h = hashWord(h, m)
 	}
 	for i := range s.Procs {
 		p := &s.Procs[i]
-		w(pflags(p))
+		h = hashWord(h, pflags(p))
 		for _, r := range p.Regs {
-			w(r)
+			h = hashWord(h, r)
 		}
-		w(uint64(len(p.Buf)))
+		h = hashWord(h, uint64(len(p.Buf)))
 		for _, b := range p.Buf {
-			w(uint64(b.v))
-			w(b.x)
+			h = hashWord(h, uint64(b.v))
+			h = hashWord(h, b.x)
 		}
 	}
-	return h.Sum64()
+	return mix64(h)
 }
 
 // pflags packs a process's scheduling-relevant booleans, PC and crash
@@ -632,22 +745,15 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 		path []tso.Decision // decisions in the real (initial) frame
 		cum  []int          // real slot -> current slot; nil = identity
 	}
-	// canon maps a freshly produced state to its canonical representative
-	// plus the permutation applied (nil perm = identity).
-	canon := func(s *State) (*State, []int) {
-		if r == nil {
-			return s, nil
-		}
-		return r.canonicalize(s)
-	}
-	root, rootPerm := canon(e.Initial())
+	root, rootPerm := e.canon(e.Initial())
 	seen[e.hash(root)] = true
 	res.States = 1
 	stack := []node{{st: root, cum: rootPerm}}
-	// push applies d (in nd's frame) to nd.st, canonicalizes, and pushes
-	// the child if unseen. Every applied decision counts as a transition.
-	push := func(nd *node, d tso.Decision, child *State, perm []int) {
-		h := e.hash(child)
+	// Successors are computed in scratch states and cloned only when pushed.
+	var x expansion
+	// push records the child reached from nd by d (in nd's frame) and
+	// pushes it if unseen.
+	push := func(nd *node, d tso.Decision, child *State, h uint64, perm []int, sc *State) {
 		if seen[h] {
 			return
 		}
@@ -656,7 +762,7 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 		path := make([]tso.Decision, len(nd.path)+1)
 		copy(path, nd.path)
 		path[len(nd.path)] = realDecision(r, d, nd.cum)
-		stack = append(stack, node{st: child, path: path, cum: compose(perm, nd.cum, e.n)})
+		stack = append(stack, node{st: keep(child, sc), path: path, cum: compose(perm, nd.cum, e.n)})
 	}
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
@@ -677,51 +783,38 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 			return res, nil
 		}
 		if r != nil {
-			if id, ok := e.ampleProcess(nd.st); ok {
-				amp := e.procDecisions(nd.st, id, nil)
-				kids := make([]*State, len(amp))
-				perms := make([][]int, len(amp))
-				proviso := false
-				for i, d := range amp {
-					child := nd.st.Clone()
-					if err := e.Apply(child, d); err != nil {
-						return nil, fmt.Errorf("vmprog: check: %w", err)
-					}
-					kids[i], perms[i] = canon(child)
-					if seen[e.hash(kids[i])] {
-						// C3 visited-proviso: an ample successor was
-						// already visited, so this state could close a
-						// cycle along which other processes are ignored
-						// forever; expand it fully instead.
-						proviso = true
-					}
+			// C3 visited-proviso: an ample successor that was already
+			// visited could close a cycle along which other processes are
+			// ignored forever; expand the state fully instead.
+			ok, err := x.ample(e, nd.st, func(h uint64) bool { return seen[h] })
+			if err != nil {
+				return nil, fmt.Errorf("vmprog: check: %w", err)
+			}
+			if ok {
+				res.AmpleSteps++
+				res.Transitions += len(x.decs)
+				for i, d := range x.decs {
+					push(&nd, d, x.kids[i], x.hs[i], x.perms[i], x.scratch[i])
 				}
-				if !proviso {
-					res.AmpleSteps++
-					res.Transitions += len(amp)
-					for i, d := range amp {
-						push(&nd, d, kids[i], perms[i])
-					}
-					continue
-				}
+				continue
 			}
 		}
-		for _, d := range e.decisions(nd.st) {
-			child := nd.st.Clone()
-			if err := e.Apply(child, d); err != nil {
+		x.decs = e.decisions(nd.st, x.decs[:0])
+		sc := x.scratchAt(0)
+		for _, d := range x.decs {
+			cc, perm, err := e.successor(sc, nd.st, d)
+			if err != nil {
 				return nil, fmt.Errorf("vmprog: check: %w", err)
 			}
 			res.Transitions++
-			cc, perm := canon(child)
-			push(&nd, d, cc, perm)
+			push(&nd, d, cc, e.hash(cc), perm, sc)
 		}
 	}
 	return res, nil
 }
 
-// decisions enumerates the enabled scheduling decisions in a state.
-func (e *Engine) decisions(s *State) []tso.Decision {
-	var out []tso.Decision
+// decisions appends the enabled scheduling decisions in a state to out.
+func (e *Engine) decisions(s *State, out []tso.Decision) []tso.Decision {
 	for id := range s.Procs {
 		out = e.procDecisions(s, id, out)
 	}

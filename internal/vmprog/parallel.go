@@ -131,8 +131,9 @@ func (g *pgraph) lookup(h uint64) (pcrumb, bool) {
 // decision) pair wins — insertion order within a layer is scheduling-
 // dependent, the tie-break makes the surviving breadcrumb (and with it every
 // reconstructed witness) deterministic again. It returns the state's global
-// dense id (recoverable mode only).
-func (g *pgraph) insert(parentH uint64, dec uint32, child *State, h uint64, cum []int, layer int32) uint32 {
+// dense id (recoverable mode only). child is cloned, and only when unseen,
+// if it is the caller's scratch state (see keep).
+func (g *pgraph) insert(parentH uint64, dec uint32, child, scratch *State, h uint64, cum []int, layer int32) uint32 {
 	s := uint32(len(g.shards))
 	idx := uint32(h % uint64(s))
 	sh := &g.shards[idx]
@@ -159,7 +160,7 @@ func (g *pgraph) insert(parentH uint64, dec uint32, child *State, h uint64, cum 
 		sh.byID = append(sh.byID, h)
 	}
 	gid := local*s + idx
-	sh.next = append(sh.next, pitem{st: child, h: h, id: gid, cum: cum})
+	sh.next = append(sh.next, pitem{st: keep(child, scratch), h: h, id: gid, cum: cum})
 	sh.mu.Unlock()
 	return gid
 }
@@ -229,6 +230,9 @@ type pworker struct {
 	viol  bool
 	violH uint64
 
+	// Successors are built in scratch states and cloned only on discovery.
+	x expansion
+
 	// Recoverable mode.
 	crash    CrashOpts
 	edgeFrom []uint32
@@ -238,13 +242,6 @@ type pworker struct {
 	faultH   uint64
 	faultDec uint32
 	faultErr string
-}
-
-func (w *pworker) canon(s *State) (*State, []int) {
-	if w.eng.red == nil {
-		return s, nil
-	}
-	return w.eng.red.canonicalize(s)
 }
 
 func (w *pworker) tick() bool {
@@ -258,16 +255,15 @@ func (w *pworker) tick() bool {
 	return true
 }
 
-// insert canonical child cc (produced from parent by d under permutation
-// perm) into the graph.
-func (w *pworker) insert(parent pitem, d tso.Decision, cc *State, perm []int) uint32 {
-	h := w.eng.hash(cc)
+// insert canonical child cc with hash h (produced from parent by d under
+// permutation perm, in scratch state sc) into the graph.
+func (w *pworker) insert(parent pitem, d tso.Decision, cc *State, h uint64, perm []int, sc *State) uint32 {
 	s := uint64(len(w.g.shards))
 	if h%s != parent.h%s {
 		w.crossShard++
 	}
 	dec := encDec(realDecision(w.eng.red, d, parent.cum))
-	return w.g.insert(parent.h, dec, cc, h, compose(perm, parent.cum, w.eng.n), w.layer)
+	return w.g.insert(parent.h, dec, cc, sc, h, compose(perm, parent.cum, w.eng.n), w.layer)
 }
 
 // expand explores one state of the current layer (crash-free mode), applying
@@ -290,42 +286,35 @@ func (w *pworker) expand(it pitem) {
 		}
 		return
 	}
+	x := &w.x
 	if e.red != nil {
-		if id, ok := e.ampleProcess(it.st); ok {
-			amp := e.procDecisions(it.st, id, nil)
-			kids := make([]*State, len(amp))
-			perms := make([][]int, len(amp))
-			proviso := false
-			for i, d := range amp {
-				child := it.st.Clone()
-				if err := e.Apply(child, d); err != nil {
-					w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
-					return
-				}
-				kids[i], perms[i] = w.canon(child)
-				if c, ok := w.g.lookup(e.hash(kids[i])); ok && c.layer <= w.layer {
-					proviso = true
-				}
+		ok, err := x.ample(e, it.st, func(h uint64) bool {
+			c, ok := w.g.lookup(h)
+			return ok && c.layer <= w.layer
+		})
+		if err != nil {
+			w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
+			return
+		}
+		if ok {
+			w.ampleSteps++
+			w.transitions += len(x.decs)
+			for i, d := range x.decs {
+				w.insert(it, d, x.kids[i], x.hs[i], x.perms[i], x.scratch[i])
 			}
-			if !proviso {
-				w.ampleSteps++
-				w.transitions += len(amp)
-				for i, d := range amp {
-					w.insert(it, d, kids[i], perms[i])
-				}
-				return
-			}
+			return
 		}
 	}
-	for _, d := range e.decisions(it.st) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
+	x.decs = e.decisions(it.st, x.decs[:0])
+	sc := x.scratchAt(0)
+	for _, d := range x.decs {
+		cc, perm, err := e.successor(sc, it.st, d)
+		if err != nil {
 			w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
 			return
 		}
 		w.transitions++
-		cc, perm := w.canon(child)
-		w.insert(it, d, cc, perm)
+		w.insert(it, d, cc, e.hash(cc), perm, sc)
 	}
 }
 
@@ -350,9 +339,12 @@ func (w *pworker) expandRecov(it pitem) {
 		w.doneIDs = append(w.doneIDs, it.id)
 		return
 	}
-	for _, d := range e.crashDecisions(it.st, w.crash, e.decisions(it.st)) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
+	x := &w.x
+	x.decs = e.crashDecisions(it.st, w.crash, e.decisions(it.st, x.decs[:0]))
+	sc := x.scratchAt(0)
+	for _, d := range x.decs {
+		cc, perm, err := e.successor(sc, it.st, d)
+		if err != nil {
 			if it.st.Crashes == 0 {
 				// Crash-free faults are program bugs, not verdicts.
 				w.g.fail(fmt.Errorf("vmprog: recoverability check: %w", err))
@@ -365,8 +357,7 @@ func (w *pworker) expandRecov(it pitem) {
 			continue
 		}
 		w.transitions++
-		cc, perm := w.canon(child)
-		gid := w.insert(it, d, cc, perm)
+		gid := w.insert(it, d, cc, e.hash(cc), perm, sc)
 		w.edgeFrom = append(w.edgeFrom, it.id)
 		w.edgeTo = append(w.edgeTo, gid)
 	}
@@ -451,9 +442,9 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 		ws[i] = &pworker{eng: e.workerClone(), g: g, ctx: ctx}
 	}
 	res := &CheckResult{Complete: true}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
+	root, rootPerm := ws[0].eng.canon(ws[0].eng.Initial())
 	rh := ws[0].eng.hash(root)
-	g.insert(rh, rootDec, root, rh, rootPerm, -1)
+	g.insert(rh, rootDec, root, nil, rh, rootPerm, -1)
 	fronts := g.takeFronts()
 	for layer := int32(0); ; layer++ {
 		runLayer(ws, fronts, layer, false)
@@ -517,9 +508,9 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 		ws[i] = &pworker{eng: e.workerClone(), g: g, ctx: ctx, crash: crash}
 	}
 	res := &RecovResult{}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
+	root, rootPerm := ws[0].eng.canon(ws[0].eng.Initial())
 	rh := ws[0].eng.hash(root)
-	g.insert(rh, rootDec, root, rh, rootPerm, -1)
+	g.insert(rh, rootDec, root, nil, rh, rootPerm, -1)
 	fronts := g.takeFronts()
 	for layer := int32(0); ; layer++ {
 		runLayer(ws, fronts, layer, true)
